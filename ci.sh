@@ -14,6 +14,12 @@ echo "== tier-1: release build + tests =="
 cargo build --release
 cargo test -q
 
+echo "== workspace: every crate's unit and integration suites =="
+# Tier-1 above covers only the umbrella crate; this runs the oracles the
+# engine relies on (batch/workspace equivalence, zero-alloc, fault
+# injection) and every other crate's tests.
+cargo test --workspace --release
+
 echo "== scalar fallback: kernel + parity suites under UAE_FORCE_SCALAR =="
 UAE_FORCE_SCALAR=1 cargo test -q -p uae-tensor
 UAE_FORCE_SCALAR=1 cargo test -q -p uae-core --test quant_parity

@@ -6,8 +6,9 @@
 //!
 //! Three traffic shapes, all at S = 1000 progressive samples:
 //!
-//! 1. **Sequential closed loop** — one caller, `try_estimate_card` per
-//!    query, batch = 1. The floor every concurrent design must beat.
+//! 1. **Batch-1 closed loop** — one caller, `try_estimate_card` per
+//!    query: the batched engine with a batch of one. The floor every
+//!    concurrent design must beat.
 //! 2. **Concurrent closed loop** — a few submitter threads, each keeping
 //!    one request in flight through the server. Batches form only from
 //!    submitter concurrency.
@@ -54,9 +55,9 @@ fn setup() -> (Arc<Registry>, Vec<Query>) {
     (registry, queries)
 }
 
-/// Closed-loop sequential baseline: one caller, batch = 1, straight into
-/// the engine (no front-end). Returns queries/sec.
-fn sequential_qps(registry: &Registry, queries: &[Query], n: usize) -> f64 {
+/// Closed-loop batch-1 baseline: one caller, one query per call, straight
+/// into the engine (no front-end). Returns queries/sec.
+fn batch1_qps(registry: &Registry, queries: &[Query], n: usize) -> f64 {
     let model = registry.get(TENANT).expect("registered").model();
     let t0 = Instant::now();
     let mut acc = 0.0f64;
@@ -186,10 +187,10 @@ fn stats_row(label: &str, offered: f64, sustained: f64, s: &ServerStats) -> Stri
 }
 
 fn emit_serving_json(registry: &Arc<Registry>, queries: &[Query]) {
-    // 1. The sequential closed-loop floor.
-    sequential_qps(registry, queries, 20); // warm snapshot + scratch
-    let seq_qps = sequential_qps(registry, queries, 120);
-    eprintln!("[serving] sequential closed loop (batch=1): {seq_qps:.1} qps");
+    // 1. The batch-1 closed-loop floor.
+    batch1_qps(registry, queries, 20); // warm snapshot + scratch
+    let b1_qps = batch1_qps(registry, queries, 120);
+    eprintln!("[serving] batch-1 closed loop: {b1_qps:.1} qps");
 
     // 2. Concurrent closed loop: batches form only from concurrency.
     let (closed_qps, closed_stats) = closed_loop(registry, queries, 4, 120);
@@ -206,7 +207,7 @@ fn emit_serving_json(registry: &Arc<Registry>, queries: &[Query]) {
     let mut best_sustained = 0.0f64;
     let mut top: Option<ServerStats> = None;
     for (i, &m) in multipliers.iter().enumerate() {
-        let offered = seq_qps * m;
+        let offered = b1_qps * m;
         let n = ((offered * 3.0) as usize).clamp(300, 2400);
         let (measured, sustained, stats) =
             open_loop(registry, queries, offered, n, 0xD15C + i as u64);
@@ -224,17 +225,17 @@ fn emit_serving_json(registry: &Arc<Registry>, queries: &[Query]) {
         top = Some(stats);
     }
     let top = top.expect("at least one open-loop run");
-    let speedup = best_sustained / seq_qps.max(1e-12);
+    let speedup = best_sustained / b1_qps.max(1e-12);
 
     let json = format!(
         "{{\n  \"workload\": \"census_like 6000 rows, random 512-query pool, S={SAMPLES}\",\n  \
          \"note\": \"single-core container: gains are micro-batching, not parallelism\",\n  \
          \"config\": {{\"max_batch\": 64, \"max_delay_ms\": 4, \"queue_capacity\": 512, \
          \"executors\": 1, \"degrade_queue_depth_threshold\": 128}},\n  \
-         \"sequential_closed_loop_qps\": {seq_qps:.1},\n  \
+         \"batch1_closed_loop_qps\": {b1_qps:.1},\n  \
          \"closed_loop\": {},\n  \
          \"open_loop\": [\n{}\n  ],\n  \
-         \"open_loop_speedup_vs_sequential\": {speedup:.2},\n  \
+         \"open_loop_speedup_vs_batch1\": {speedup:.2},\n  \
          \"top_load_rejected_overloaded\": {},\n  \
          \"top_load_degraded_requests\": {}\n}}\n",
         stats_row("closed_4x1", closed_qps, closed_qps, &closed_stats),
@@ -245,8 +246,8 @@ fn emit_serving_json(registry: &Arc<Registry>, queries: &[Query]) {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serving.json");
     std::fs::write(path, json).expect("write BENCH_serving.json");
     eprintln!(
-        "[serving] best open-loop sustained {best_sustained:.1} qps = {speedup:.2}x sequential \
-         ({seq_qps:.1} qps); top load: {} rejected, {} degraded",
+        "[serving] best open-loop sustained {best_sustained:.1} qps = {speedup:.2}x batch-1 \
+         ({b1_qps:.1} qps); top load: {} rejected, {} degraded",
         top.rejected_overloaded, top.degraded_requests
     );
     assert!(top.degraded_requests > 0, "top offered load must engage the degradation ladder");

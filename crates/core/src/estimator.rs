@@ -16,7 +16,6 @@ use uae_tensor::{
 };
 
 use crate::encoding::VirtualSchema;
-use crate::infer::{progressive_sample_with, InferScratch};
 use crate::infer_batch::{progressive_sample_batch_with, BatchScratch};
 use crate::model::{RawModel, ResMade, ResMadeConfig};
 use crate::serialize::{CheckpointError, CheckpointState, LoadError};
@@ -69,10 +68,10 @@ impl Default for UaeConfig {
 struct EstCache {
     raw: Option<RawModel>,
     rng: StdRng,
-    /// Reusable buffers for the sequential and batched samplers. Training
-    /// invalidates `raw` but keeps these warm — their shapes depend only on
-    /// the schema and sample count, not on the weights.
-    scratch: InferScratch,
+    /// Reusable buffers for the batched sampler, which serves every entry
+    /// point (single queries run as a batch of one). Training invalidates
+    /// `raw` but keeps these warm — their shapes depend only on the schema,
+    /// sample count and batch size, not on the weights.
     batch: BatchScratch,
     serve: ServeState,
 }
@@ -228,7 +227,6 @@ impl Uae {
             est: Mutex::new(EstCache {
                 raw: None,
                 rng: StdRng::seed_from_u64(seed ^ 0xe57),
-                scratch: InferScratch::new(),
                 batch: BatchScratch::new(),
                 serve: ServeState::default(),
             }),
@@ -348,7 +346,7 @@ impl Uae {
         )
     }
 
-    /// Build the inference snapshot on demand and align both scratches'
+    /// Build the inference snapshot on demand and align the scratch's
     /// numeric mode with the serving config. Mask packing and int8
     /// quantization happen here — once per weight version, never per query.
     fn ensure_snapshot(&self, est: &mut EstCache) {
@@ -356,50 +354,19 @@ impl Uae {
         if est.raw.is_none() {
             est.raw = Some(self.model.snapshot_with(&self.store, mode));
         }
-        est.scratch.set_quant_mode(mode);
         est.batch.set_quant_mode(mode);
     }
 
     /// Estimate the selectivity of a pre-translated query (supports
-    /// [`crate::vquery::StepRegion::Weighted`] fanout scaling).
+    /// [`crate::vquery::StepRegion::Weighted`] fanout scaling): a batch of
+    /// one through [`Uae::estimate_vquery_batch`].
     ///
     /// Each query runs on a private RNG seeded from the estimator's stream,
     /// so a sequence of `estimate_vquery` calls and one
     /// [`Uae::estimate_vquery_batch`] call over the same queries consume
     /// the stream identically and return bit-identical estimates.
     pub fn estimate_vquery(&self, vq: &VirtualQuery) -> f64 {
-        let mut est = self.est.lock();
-        self.ensure_snapshot(&mut est);
-        let EstCache { raw, rng, scratch, serve, .. } = &mut *est;
-        let raw = raw.as_ref().expect("snapshot just created");
-        let qseed = rng.next_u64();
-        let mut qrng = StdRng::seed_from_u64(qseed);
-        let sel = progressive_sample_with(
-            raw,
-            &self.schema,
-            vq,
-            self.cfg.estimate_samples,
-            &mut qrng,
-            scratch,
-        );
-        if sel.is_finite() {
-            return sel.max(0.0);
-        }
-        // Non-finite weights/logits: one retry on a derived substream with
-        // a boosted budget, then degrade to 0. Fanout-weighted vqueries
-        // have no histogram analogue, and join estimates may legitimately
-        // exceed selectivity 1, so neither the baseline tier nor the upper
-        // clamp of the query cascade applies here.
-        serve.stats.retries += 1;
-        let samples = self.cfg.estimate_samples.max(1) * self.cfg.serve.retry_boost.max(1);
-        let mut qrng = StdRng::seed_from_u64(retry_seed(qseed));
-        let sel = progressive_sample_with(raw, &self.schema, vq, samples, &mut qrng, scratch);
-        if sel.is_finite() {
-            sel.max(0.0)
-        } else {
-            serve.stats.fallbacks += 1;
-            0.0
-        }
+        self.estimate_vquery_batch(std::slice::from_ref(vq))[0]
     }
 
     /// Estimate the selectivities of a batch of pre-translated queries via
@@ -407,10 +374,16 @@ impl Uae {
     /// advance in lock-step column rounds sharing stacked forwards, the
     /// first-step distribution is memoized per weight snapshot, and sample
     /// rows with identical sampled prefixes share one forward row.
+    ///
+    /// A non-finite estimate gets one retry on a derived substream with a
+    /// boosted budget, then degrades to 0. Fanout-weighted vqueries have no
+    /// histogram analogue, and join estimates may legitimately exceed
+    /// selectivity 1, so neither the baseline tier nor the upper clamp of
+    /// the query cascade applies here.
     pub fn estimate_vquery_batch(&self, vqs: &[VirtualQuery]) -> Vec<f64> {
         let mut est = self.est.lock();
         self.ensure_snapshot(&mut est);
-        let EstCache { raw, rng, scratch, batch, serve } = &mut *est;
+        let EstCache { raw, rng, batch, serve } = &mut *est;
         let raw = raw.as_ref().expect("snapshot just created");
         let seeds: Vec<u64> = vqs.iter().map(|_| rng.next_u64()).collect();
         let samples = self.cfg.estimate_samples;
@@ -423,27 +396,24 @@ impl Uae {
                 // Isolate the poisoned query: re-run each query as its own
                 // single-query batch on its original seed. Per-query batch
                 // results do not depend on batch composition, so healthy
-                // queries stay bit-identical to the undisturbed batch.
+                // queries stay bit-identical to the undisturbed batch. A
+                // lone query is already isolated; re-running it would only
+                // panic again.
                 serve.stats.panics_isolated += 1;
                 serve.emit(ServeEvent::PanicIsolated { index: None });
-                vqs.iter()
-                    .zip(&seeds)
-                    .map(|(vq, &seed)| {
-                        catch_unwind(AssertUnwindSafe(|| {
-                            progressive_sample_batch_with(
-                                raw,
-                                &self.schema,
-                                std::slice::from_ref(vq),
-                                samples,
-                                &[seed],
-                                batch,
-                            )
-                        }))
-                        .ok()
-                        .and_then(|v| v.into_iter().next())
-                        .unwrap_or(f64::NAN)
-                    })
-                    .collect()
+                if vqs.len() == 1 {
+                    vec![f64::NAN]
+                } else {
+                    vqs.iter()
+                        .zip(&seeds)
+                        .map(|(vq, &seed)| {
+                            catch_unwind(AssertUnwindSafe(|| {
+                                self.sample_one(raw, vq, samples, seed, batch)
+                            }))
+                            .unwrap_or(f64::NAN)
+                        })
+                        .collect()
+                }
             }
         };
         sels.into_iter()
@@ -452,13 +422,12 @@ impl Uae {
                 if sel.is_finite() {
                     return sel.max(0.0);
                 }
-                // Same light cascade as `estimate_vquery`: derived-seed
-                // boosted retry, then 0.
                 serve.stats.retries += 1;
                 let boosted = samples.max(1) * self.cfg.serve.retry_boost.max(1);
-                let mut qrng = StdRng::seed_from_u64(retry_seed(qseed));
-                let sel =
-                    progressive_sample_with(raw, &self.schema, vq, boosted, &mut qrng, scratch);
+                let sel = catch_unwind(AssertUnwindSafe(|| {
+                    self.sample_one(raw, vq, boosted, retry_seed(qseed), batch)
+                }))
+                .unwrap_or(f64::NAN);
                 if sel.is_finite() {
                     sel.max(0.0)
                 } else {
@@ -469,11 +438,26 @@ impl Uae {
             .collect()
     }
 
+    /// One query through the batched sampler as a batch of one — the
+    /// per-query isolation and retry legs of both cascades.
+    fn sample_one(
+        &self,
+        raw: &RawModel,
+        vq: &VirtualQuery,
+        samples: usize,
+        seed: u64,
+        batch: &mut BatchScratch,
+    ) -> f64 {
+        let vqs = std::slice::from_ref(vq);
+        progressive_sample_batch_with(raw, &self.schema, vqs, samples, &[seed], batch)[0]
+    }
+
     /// Estimated selectivities of a batch of queries through the hardened
     /// cascade (the batched counterpart of [`Uae::estimate_selectivity`];
-    /// identical estimates under a matched RNG state, computed with far
-    /// fewer forward passes). Rejected queries degrade to `0`; use
-    /// [`Uae::try_estimate_cards`] for typed errors and provenance.
+    /// identical estimates under a matched RNG state, with the queries'
+    /// column rounds sharing stacked forwards). Rejected queries degrade
+    /// to `0`; use [`Uae::try_estimate_cards`] for typed errors and
+    /// provenance.
     pub fn estimate_batch(&self, queries: &[Query]) -> Vec<f64> {
         self.try_estimate_cards(queries)
             .into_iter()
@@ -526,9 +510,9 @@ impl Uae {
 
     /// Drive one sampled query through the health-check → retry → baseline
     /// cascade. `first` is the first attempt's selectivity (`None` when the
-    /// attempt panicked); the retry re-samples sequentially on a derived
-    /// seed with a boosted budget, and the baseline is the lazily built
-    /// histogram over the training table. `samples` is the per-query
+    /// attempt panicked); the retry re-samples as a batch of one on a
+    /// derived seed with a boosted budget, and the baseline is the lazily
+    /// built histogram over the training table. `samples` is the per-query
     /// budget the attempt ran under; when it is a degradation-shrunken
     /// budget (`degraded`), the retry boosts the shrunken budget and a
     /// model answer is tagged [`EstimateSource::ModelDegraded`].
@@ -543,7 +527,7 @@ impl Uae {
         samples: usize,
         degraded: bool,
         raw: &RawModel,
-        scratch: &mut InferScratch,
+        batch: &mut BatchScratch,
         serve: &mut ServeState,
     ) -> Estimate {
         let sc = &self.cfg.serve;
@@ -572,8 +556,7 @@ impl Uae {
                 if sc.fault.panics(idx) {
                     panic!("uae-serve: fault-plan panic (query {idx})");
                 }
-                let mut qrng = StdRng::seed_from_u64(retry_seed(qseed));
-                progressive_sample_with(raw, &self.schema, vq, samples, &mut qrng, scratch)
+                self.sample_one(raw, vq, samples, retry_seed(qseed), batch)
             }));
             sel = match outcome {
                 Ok(_) if sc.fault.nan_hits(idx, 1) => f64::NAN,
@@ -626,55 +609,8 @@ impl Uae {
         query: &Query,
         samples_override: Option<usize>,
     ) -> Result<Estimate, EstimateError> {
-        let checked = self.validate(query);
-        let mut est = self.est.lock();
-        self.ensure_snapshot(&mut est);
-        let EstCache { raw, rng, scratch, serve, .. } = &mut *est;
-        let raw = raw.as_ref().expect("snapshot just created");
-        let qseed = rng.next_u64();
-        let idx = serve.stats.served;
-        serve.stats.served += 1;
-        match checked {
-            Err(e) => {
-                serve.stats.rejected += 1;
-                serve.emit(ServeEvent::QueryRejected { index: idx, error: e.to_string() });
-                Err(e)
-            }
-            Ok((_, Validation::Empty)) => {
-                serve.stats.validated_empty += 1;
-                serve.emit(ServeEvent::ValidationShortcut { index: idx, empty: true });
-                Ok(self.finish(idx, 0.0, EstimateSource::Validation, false, serve))
-            }
-            Ok((_, Validation::Trivial)) => {
-                serve.stats.validated_trivial += 1;
-                serve.emit(ServeEvent::ValidationShortcut { index: idx, empty: false });
-                Ok(self.finish(idx, 1.0, EstimateSource::Validation, false, serve))
-            }
-            Ok((remapped, Validation::Sample)) => {
-                let vq = VirtualQuery::build(&self.table, &self.schema, &remapped);
-                let samples = samples_override.unwrap_or(self.cfg.estimate_samples).max(1);
-                let degraded = samples < self.cfg.estimate_samples;
-                let sc = &self.cfg.serve;
-                let attempt = catch_unwind(AssertUnwindSafe(|| {
-                    if sc.fault.panics(idx) {
-                        panic!("uae-serve: fault-plan panic (query {idx})");
-                    }
-                    let mut qrng = StdRng::seed_from_u64(qseed);
-                    progressive_sample_with(raw, &self.schema, &vq, samples, &mut qrng, scratch)
-                }));
-                let first = match attempt {
-                    Ok(v) => Some(v),
-                    Err(_) => {
-                        serve.stats.panics_isolated += 1;
-                        serve.emit(ServeEvent::PanicIsolated { index: Some(idx) });
-                        None
-                    }
-                };
-                Ok(self.resolve_sampled(
-                    idx, qseed, &vq, &remapped, first, samples, degraded, raw, scratch, serve,
-                ))
-            }
-        }
+        let mut one = self.try_estimate_cards_with(std::slice::from_ref(query), samples_override);
+        one.pop().expect("one result per query")
     }
 
     /// Batched counterpart of [`Uae::try_estimate_card`], sharing the
@@ -687,6 +623,8 @@ impl Uae {
     /// prefix-dedup shares are all row-local), so healthy queries return
     /// results bit-identical to the undisturbed batch while the poisoned
     /// query panics again in isolation and degrades through the cascade.
+    /// When only one query needs sampling the attempt already isolated it,
+    /// so it goes straight to the cascade without a second run.
     pub fn try_estimate_cards(&self, queries: &[Query]) -> Vec<Result<Estimate, EstimateError>> {
         self.try_estimate_cards_with(queries, None)
     }
@@ -707,10 +645,11 @@ impl Uae {
             queries.iter().map(|q| self.validate(q)).collect();
         let mut est = self.est.lock();
         self.ensure_snapshot(&mut est);
-        let EstCache { raw, rng, scratch, batch, serve } = &mut *est;
+        let EstCache { raw, rng, batch, serve } = &mut *est;
         let raw = raw.as_ref().expect("snapshot just created");
-        // One seed per query, shortcut or not — stream parity with the
-        // sequential path.
+        // One seed per query, shortcut or not, budget-independent — so a
+        // sequence of single-query calls consumes the stream exactly as one
+        // call over the same queries.
         let seeds: Vec<u64> = queries.iter().map(|_| rng.next_u64()).collect();
         let base = serve.stats.served;
         serve.stats.served += queries.len() as u64;
@@ -741,6 +680,12 @@ impl Uae {
         }));
         let firsts: Vec<Option<f64>> = match attempt {
             Ok(sels) => sels.into_iter().map(Some).collect(),
+            Err(_) if sampled.len() == 1 => {
+                let idx = base + sampled[0] as u64;
+                serve.stats.panics_isolated += 1;
+                serve.emit(ServeEvent::PanicIsolated { index: Some(idx) });
+                vec![None]
+            }
             Err(_) => {
                 serve.stats.panics_isolated += 1;
                 serve.emit(ServeEvent::PanicIsolated { index: None });
@@ -753,17 +698,10 @@ impl Uae {
                             if sc.fault.panics(idx) {
                                 panic!("uae-serve: fault-plan panic (query {idx})");
                             }
-                            progressive_sample_batch_with(
-                                raw,
-                                &self.schema,
-                                std::slice::from_ref(&vqs[k]),
-                                samples,
-                                std::slice::from_ref(&seeds[i]),
-                                batch,
-                            )
+                            self.sample_one(raw, &vqs[k], samples, seeds[i], batch)
                         }));
                         match one {
-                            Ok(v) => v.into_iter().next(),
+                            Ok(v) => Some(v),
                             Err(_) => {
                                 serve.stats.panics_isolated += 1;
                                 serve.emit(ServeEvent::PanicIsolated { index: Some(idx) });
@@ -802,7 +740,7 @@ impl Uae {
                         let vq = &vqs[k];
                         k += 1;
                         Ok(self.resolve_sampled(
-                            idx, seeds[i], vq, &remapped, first, samples, degraded, raw, scratch,
+                            idx, seeds[i], vq, &remapped, first, samples, degraded, raw, batch,
                             serve,
                         ))
                     }
@@ -1344,7 +1282,6 @@ impl Clone for Uae {
             est: Mutex::new(EstCache {
                 raw: None,
                 rng: StdRng::seed_from_u64(self.cfg.train.seed ^ 0xc10e),
-                scratch: InferScratch::new(),
                 batch: BatchScratch::new(),
                 // Serving counters, baseline and observer are per-run
                 // concerns too; the clone starts a fresh serving history

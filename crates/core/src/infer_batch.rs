@@ -1,4 +1,5 @@
-//! Cross-query batched progressive sampling — the serving fast path.
+//! Cross-query batched progressive sampling — the inference engine behind
+//! every estimator entry point; a single query runs as a batch of one.
 //!
 //! [`progressive_sample`](crate::infer::progressive_sample) walks one query
 //! at a time: every constrained column costs a full `S`-row forward pass,
@@ -143,6 +144,17 @@ pub fn progressive_sample_batch_with(
         scratch;
     if prefix_pool.len() < vqs.len() {
         prefix_pool.resize_with(vqs.len(), Tensor::default);
+    }
+    if vqs.len() == 1 {
+        // A single query never has more than `s` distinct live prefixes,
+        // so every per-round buffer is bounded by `s` rows. Reserving that
+        // bound up front gives a warm batch-of-one stream a capacity fixed
+        // point; otherwise the deduped prefix count, which varies with the
+        // seed, would creep the high-water mark call after call.
+        for t in [&mut prefix_pool[0], &mut *spare, &mut *stacked] {
+            t.reserve(s, width);
+        }
+        raw.reserve_rows(s, model);
     }
     let mut results = vec![0.0f64; vqs.len()];
     let mut states: Vec<Option<QueryState<'_>>> = Vec::with_capacity(vqs.len());

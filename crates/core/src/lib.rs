@@ -57,7 +57,6 @@ pub mod vquery;
 pub use dps::DpsConfig;
 pub use encoding::VirtualSchema;
 pub use estimator::{Uae, UaeConfig};
-pub use infer::InferScratch;
 pub use infer_batch::BatchScratch;
 pub use model::{ModelScratch, ResMade, ResMadeConfig};
 pub use online::{

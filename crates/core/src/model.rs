@@ -734,6 +734,18 @@ impl RawModel {
         add_bias_assign(logits, &self.b_out_cols[v]);
     }
 
+    /// Grow `s` so forwards over up to `rows` input rows — through
+    /// [`RawModel::hidden_into`] and any column's
+    /// [`RawModel::logits_col_into`] — reuse its buffers without growing.
+    pub fn reserve_rows(&self, rows: usize, s: &mut ModelScratch) {
+        let hidden = self.b_in.cols();
+        let max_domain = self.w_out_cols.iter().map(Tensor::cols).max().unwrap_or(0);
+        s.h.reserve(rows, hidden);
+        s.t.reserve(rows, hidden);
+        s.t2.reserve(rows, hidden);
+        s.logits.reserve(rows, max_domain);
+    }
+
     /// Model input dimension.
     pub fn input_width(&self) -> usize {
         self.w_in.rows()

@@ -253,7 +253,7 @@ pub fn healthy(sel: f64) -> bool {
 }
 
 /// The derived substream for the retry attempt. Never drawn from the
-/// estimator's RNG: an extra draw would desynchronize the sequential and
+/// estimator's RNG: an extra draw would desynchronize one-at-a-time and
 /// batched seed streams, which must stay bit-identical.
 pub fn retry_seed(qseed: u64) -> u64 {
     qseed ^ 0x9e37_79b9_7f4a_7c15

@@ -83,6 +83,30 @@ fn threshold_decisions_replay_identically() {
     );
 }
 
+/// A predicate on a column the table does not have never panics the
+/// router: featurization drops it (as `QueryRegion::build` does), so the
+/// decision equals the one for the same query without it. The typed
+/// unknown-column error is the estimate path's job, not the router's.
+#[test]
+fn unknown_column_predicates_are_ignored_by_decide() {
+    use uae_query::Predicate;
+    let t = wide_table();
+    let router = Router::threshold(&t, backends(&t), test_cfg());
+    let unknown = Predicate::eq(t.num_cols() + 7, 1i64);
+    let mut queries: Vec<Query> = workload(&t, 12, 29).into_iter().map(|lq| lq.query).collect();
+    queries.extend(correlated_queries());
+    queries.push(Query::default());
+    for (i, q) in queries.iter().enumerate() {
+        let mut with_unknown = q.clone();
+        with_unknown.predicates.push(unknown.clone());
+        assert_eq!(
+            router.decide(&with_unknown),
+            router.decide(q),
+            "query {i}: an unknown-column predicate changed the route decision"
+        );
+    }
+}
+
 /// Calibration is deterministic: two routers calibrated from cloned
 /// primaries (clones reseed the estimation RNG identically) on the same
 /// holdout produce identical policies, witnessed over a probe workload.

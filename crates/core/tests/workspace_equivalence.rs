@@ -1,13 +1,14 @@
 //! The plan/workspace refactor must be a pure optimization: the scratch
-//! samplers (`progressive_sample_with`, `progressive_sample_batch_with`)
-//! reuse buffers across queries and calls, yet return f64-bit-identical
-//! estimates to the allocating oracles — across wildcards, factorized
-//! (split) columns, weighted (fanout) steps, and shape-changing query
-//! streams that force every buffer to grow and shrink.
+//! sampler (`progressive_sample_batch_with`) reuses buffers across queries
+//! and calls — at batch 1, the path every single-query estimate takes, and
+//! across batches — yet returns f64-bit-identical estimates to the
+//! allocating oracles, across wildcards, factorized (split) columns,
+//! weighted (fanout) steps, and shape-changing query streams that force
+//! every buffer to grow and shrink.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use uae_core::infer::{progressive_sample, progressive_sample_with, InferScratch};
+use uae_core::infer::progressive_sample;
 use uae_core::infer_batch::{
     progressive_sample_batch, progressive_sample_batch_with, BatchScratch,
 };
@@ -39,7 +40,7 @@ fn setup(factor_threshold: usize) -> (Table, VirtualSchema, ParamStore, ResMade)
 /// A mixed query stream: ranges on the split column, points, partial
 /// wildcards, a fanout-weighted step, and the empty query.
 fn mixed_stream(t: &Table, schema: &VirtualSchema) -> Vec<VirtualQuery> {
-    let mut vqs: Vec<VirtualQuery> = vec![
+    let mut vqs: Vec<VirtualQuery> = [
         Query::new(vec![Predicate::ge(0, 10i64), Predicate::le(0, 120i64)]),
         Query::new(vec![Predicate::eq(1, 4i64), Predicate::ge(2, 2i64)]),
         Query::new(vec![Predicate::le(0, 30i64), Predicate::eq(3, 1i64)]),
@@ -60,24 +61,26 @@ fn mixed_stream(t: &Table, schema: &VirtualSchema) -> Vec<VirtualQuery> {
     vqs
 }
 
-/// One `InferScratch` carried across an entire mixed query stream returns
-/// exactly what a fresh allocating sampler returns per query.
+/// One `BatchScratch` carried across an entire mixed query stream, one
+/// query per call (the single-query serving path), returns exactly what
+/// the fresh allocating per-query sampler returns.
 #[test]
 fn scratch_sampler_matches_oracle_across_reuse() {
     for threshold in [usize::MAX, 16] {
         let (t, schema, store, model) = setup(threshold);
         let raw = model.snapshot(&store);
         let vqs = mixed_stream(&t, &schema);
-        let mut scratch = InferScratch::new();
-        // Varying sample counts force the input/probability buffers to
-        // grow and shrink between queries.
+        let mut scratch = BatchScratch::new();
+        // Varying sample counts force the prefix/stacked/probability
+        // buffers to grow and shrink between queries.
         for (i, vq) in vqs.iter().enumerate() {
             for s in [64, 200, 17] {
                 let seed = 0xace ^ ((i as u64) << 8) ^ s as u64;
-                let mut r1 = StdRng::seed_from_u64(seed);
-                let mut r2 = StdRng::seed_from_u64(seed);
-                let oracle = progressive_sample(&raw, &schema, vq, s, &mut r1);
-                let got = progressive_sample_with(&raw, &schema, vq, s, &mut r2, &mut scratch);
+                let mut rng = StdRng::seed_from_u64(seed);
+                let oracle = progressive_sample(&raw, &schema, vq, s, &mut rng);
+                let one = std::slice::from_ref(vq);
+                let got =
+                    progressive_sample_batch_with(&raw, &schema, one, s, &[seed], &mut scratch)[0];
                 assert_eq!(
                     oracle.to_bits(),
                     got.to_bits(),

@@ -5,14 +5,16 @@
 //! including `Vec<u32>` code buffers and hash-map churn — is reported.
 //!
 //! The batched sampler's prefix/stacked buffers are sized by the *deduped*
-//! prefix count, which varies with the RNG seeds: under an advancing seed
-//! stream the high-water mark can still creep by a few rows per call, so
-//! the exact-zero assertions run on deterministic workloads (fixed shapes
-//! for the sequential path, fixed seeds for the batched path) and the
-//! advancing-seed path gets a tight growth bound instead.
+//! prefix count, which varies with the RNG seeds. A batch of one reserves
+//! its `S`-row bound up front, so single-query estimates hold exactly zero
+//! under an advancing seed stream. A multi-query batch is not pre-sized:
+//! its high-water mark can still creep by a few rows per call, so its
+//! exact-zero assertion runs on fixed seeds and the advancing-seed path
+//! gets a tight growth bound instead.
 //!
-//! Single `#[test]` on purpose: both counters are process-global, so a
-//! concurrently running test that touches tensors would break the deltas.
+//! Single `#[test]` on purpose: the tensor counter is per-thread, but the
+//! global allocator counter is process-global, so a concurrently running
+//! test would break the global deltas.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::HashSet;
@@ -65,9 +67,11 @@ fn steady_state_estimates_allocate_no_tensors() {
     let queries: Vec<Query> = workload.into_iter().map(|lq| lq.query).collect();
     let rounds = 3u64;
 
-    // --- sequential path: exact zero -----------------------------------
-    // `InferScratch` shapes depend only on `estimate_samples` and the
-    // schema, so after one warm call nothing in the tensor layer moves.
+    // --- single-query path (batch of one): exact zero ---------------------
+    // `estimate_selectivity` runs each query as a batch of one, whose
+    // buffers reserve their `estimate_samples`-row bound on first use, so
+    // after one warm pass nothing in the tensor layer moves, whatever the
+    // seeds draw.
     for q in &queries {
         uae.estimate_selectivity(q);
     }
@@ -81,7 +85,7 @@ fn steady_state_estimates_allocate_no_tensors() {
     let tensor_delta = tensor_alloc_count() - tensors_before;
     let global_delta = GLOBAL_ALLOCS.load(Ordering::Relaxed) - global_before;
     eprintln!(
-        "sequential steady state: {tensor_delta} tensor allocs, {} global allocs/query",
+        "single-query steady state: {tensor_delta} tensor allocs, {} global allocs/query",
         global_delta / (rounds * queries.len() as u64)
     );
     assert_eq!(tensor_delta, 0, "warm estimate_selectivity must not allocate tensors");

@@ -4,27 +4,34 @@
 //! two-dimensional tensor (`rows x cols`) is the only shape the engine needs.
 //! Vectors are represented as `1 x c` or `r x 1` tensors, scalars as `1 x 1`.
 
+use std::cell::Cell;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::pool;
 use crate::simd;
 
-/// Number of tensor-buffer heap allocations performed since process start
-/// (fresh buffers and capacity growth; buffer reuse via [`Tensor::resize`]
-/// within capacity does not count). Used by the zero-allocation regression
-/// tests: after warm-up, steady-state inference must not move this counter.
-static TENSOR_ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Number of tensor-buffer heap allocations performed on this thread
+    /// (fresh buffers and capacity growth; buffer reuse via
+    /// [`Tensor::resize`] within capacity does not count). Per-thread, so
+    /// concurrently running work on other threads cannot perturb a
+    /// measurement. Pool workers only write into caller-owned buffers and
+    /// never allocate tensors, so a caller's count covers its parallel
+    /// kernels too.
+    static TENSOR_ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
 
-/// Snapshot of the tensor-layer allocation counter.
+/// Snapshot of the calling thread's tensor-layer allocation counter. Used
+/// by the zero-allocation regression tests: after warm-up, steady-state
+/// inference must not move it.
 pub fn tensor_alloc_count() -> u64 {
-    TENSOR_ALLOCS.load(Ordering::Relaxed)
+    TENSOR_ALLOCS.with(Cell::get)
 }
 
 #[inline]
 fn note_alloc(elems: usize) {
     if elems > 0 {
-        TENSOR_ALLOCS.fetch_add(1, Ordering::Relaxed);
+        TENSOR_ALLOCS.with(|c| c.set(c.get() + 1));
     }
 }
 
@@ -101,6 +108,18 @@ impl Tensor {
         self.data.resize(n, 0.0);
         self.rows = rows;
         self.cols = cols;
+    }
+
+    /// Grow the buffer's capacity to hold a `rows x cols` shape without
+    /// changing the current shape or contents, so later
+    /// [`Tensor::resize`] calls up to that bound reuse it. No-op when the
+    /// capacity already suffices.
+    pub fn reserve(&mut self, rows: usize, cols: usize) {
+        let n = rows * cols;
+        if n > self.data.capacity() {
+            note_alloc(n);
+            self.data.reserve_exact(n - self.data.len());
+        }
     }
 
     /// Become a shape-matched copy of `src`, reusing the existing buffer
